@@ -23,6 +23,15 @@ object AggCore {
     def result: O
   }
 
+  /** A state over one numeric column. `add` is the primitive entry point
+    * for a non-null value; the boxed `update` (what the Spark wrappers
+    * call) skips nulls and delegates to it.
+    */
+  trait DoubleState extends State[java.lang.Double, java.lang.Double] {
+    def add(v: Double): Unit
+    final def update(in: java.lang.Double): Unit = if (in != null) add(in.doubleValue)
+  }
+
   // ---------------------------------------------------------------- basics
 
   final class CountState extends State[Any, Long] {
@@ -32,34 +41,32 @@ object AggCore {
     def result: Long = n
   }
 
-  final class SumState extends State[java.lang.Double, java.lang.Double] {
+  final class SumState extends DoubleState {
     var s = 0.0; var any = false
-    def update(in: java.lang.Double): Unit = if (in != null) { s += in; any = true }
+    def add(v: Double): Unit = { s += v; any = true }
     def merge(o: SumState): Unit = { s += o.s; any ||= o.any }
     def result: java.lang.Double = if (any) s else null
   }
 
-  final class AvgState extends State[java.lang.Double, java.lang.Double] {
+  final class AvgState extends DoubleState {
     var s = 0.0; var n = 0L
-    def update(in: java.lang.Double): Unit = if (in != null) { s += in; n += 1 }
+    def add(v: Double): Unit = { s += v; n += 1 }
     def merge(o: AvgState): Unit = { s += o.s; n += o.n }
     def result: java.lang.Double = if (n == 0) null else s / n
   }
 
-  final class MinState extends State[java.lang.Double, java.lang.Double] {
-    var m: java.lang.Double = null
-    def update(in: java.lang.Double): Unit =
-      if (in != null && (m == null || in < m)) m = in
-    def merge(o: MinState): Unit = if (o.m != null) update(o.m)
-    def result: java.lang.Double = m
+  final class MinState extends DoubleState {
+    var m = 0.0; var any = false
+    def add(v: Double): Unit = if (!any || v < m) { m = v; any = true }
+    def merge(o: MinState): Unit = if (o.any) add(o.m)
+    def result: java.lang.Double = if (any) m else null
   }
 
-  final class MaxState extends State[java.lang.Double, java.lang.Double] {
-    var m: java.lang.Double = null
-    def update(in: java.lang.Double): Unit =
-      if (in != null && (m == null || in > m)) m = in
-    def merge(o: MaxState): Unit = if (o.m != null) update(o.m)
-    def result: java.lang.Double = m
+  final class MaxState extends DoubleState {
+    var m = 0.0; var any = false
+    def add(v: Double): Unit = if (!any || v > m) { m = v; any = true }
+    def merge(o: MaxState): Unit = if (o.any) add(o.m)
+    def result: java.lang.Double = if (any) m else null
   }
 
   final class DistinctCountState extends State[String, Long] {
@@ -92,11 +99,14 @@ object AggCore {
     var acc: TreeMap[String, (Double, Long)] = TreeMap.empty
     def update(in: (java.lang.Double, java.lang.Boolean, String)): Unit = {
       val (v, cond, cate) = in
-      if (v != null && cond != null && cond && cate != null) {
+      if (v != null && cond != null) add(v.doubleValue, cond.booleanValue, cate)
+    }
+    /** Primitive entry point for a row whose value and condition are non-null. */
+    def add(v: Double, cond: Boolean, cate: String): Unit =
+      if (cond && cate != null) {
         val (s, n) = acc.getOrElse(cate, (0.0, 0L))
         acc = acc.updated(cate, (s + v, n + 1))
       }
-    }
     def merge(o: AvgCateWhereState): Unit =
       o.acc.foreach { case (k, (s, n)) =>
         val (s0, n0) = acc.getOrElse(k, (0.0, 0L)); acc = acc.updated(k, (s0 + s, n0 + n))
@@ -109,12 +119,11 @@ object AggCore {
     * subsequent trough (§4.1 (3)). ORDER-SENSITIVE: inputs must arrive
     * oldest-to-newest. 0.0 when the series never declines.
     */
-  final class DrawdownState extends State[java.lang.Double, java.lang.Double] {
+  final class DrawdownState extends DoubleState {
     var peak: Double = Double.NaN
     var maxDd: Double = 0.0
     var any = false
-    def update(in: java.lang.Double): Unit = if (in != null) {
-      val v = in.doubleValue()
+    def add(v: Double): Unit = {
       if (!any) { peak = v; any = true }
       else {
         if (v > peak) peak = v
@@ -129,10 +138,10 @@ object AggCore {
     * (1-alpha)^i (pandas `ewm(alpha).mean()` of the last element).
     * ORDER-SENSITIVE: inputs oldest-to-newest.
     */
-  final class EwAvgState(var alpha: Double) extends State[java.lang.Double, java.lang.Double] {
+  final class EwAvgState(var alpha: Double) extends DoubleState {
     var num = 0.0; var den = 0.0; var any = false
-    def update(in: java.lang.Double): Unit = if (in != null) {
-      num = in + (1 - alpha) * num
+    def add(v: Double): Unit = {
+      num = v + (1 - alpha) * num
       den = 1 + (1 - alpha) * den
       any = true
     }

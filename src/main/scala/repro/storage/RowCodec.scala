@@ -142,22 +142,35 @@ final class RowCodec(val schema: IndexedSeq[FieldType],
 
   /** Decode a full row back to values (null for bitmap-marked fields). */
   def decode(bytes: Array[Byte]): IndexedSeq[Any] = {
-    val buf = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+    val r = new Reader(bytes)
+    schema.indices.map(r.field)
+  }
+
+  /** Read a single field without decoding the rest of the row: a fixed
+    * field is one read at its precomputed offset, a string two offset-table
+    * reads plus its bytes.
+    */
+  def get(bytes: Array[Byte], i: Int): Any = new Reader(bytes).field(i)
+
+  /** A validated view of one encoded row. */
+  private final class Reader(bytes: Array[Byte]) {
+    private val buf = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
     require((buf.get(0) & 0xff) == fieldVersion && (buf.get(1) & 0xff) == schemaVersion,
       "version mismatch")
-    val total = buf.getInt(2)
+    private val total = buf.getInt(2)
     require(total == bytes.length, s"row size $total != buffer ${bytes.length}")
-    val w = offsetWidth(total)
-    val fixedBase   = HeaderBytes + bitmapBytes
-    val offsetsBase = fixedBase + fixedBytes
-    val dataBase    = offsetsBase + nStrings * w
-    def isNull(i: Int): Boolean = (buf.get(HeaderBytes + i / 8) & (1 << (i % 8))) != 0
-    def strEnd(slot: Int): Int = w match {
+    private val w = offsetWidth(total)
+    private val fixedBase   = HeaderBytes + bitmapBytes
+    private val offsetsBase = fixedBase + fixedBytes
+    private val dataBase    = offsetsBase + nStrings * w
+    private def isNull(i: Int): Boolean = (buf.get(HeaderBytes + i / 8) & (1 << (i % 8))) != 0
+    private def strEnd(slot: Int): Int = w match {
       case 1 => buf.get(offsetsBase + slot) & 0xff
       case 2 => buf.getShort(offsetsBase + slot * 2) & 0xffff
       case _ => buf.getInt(offsetsBase + slot * 4)
     }
-    schema.indices.map { i =>
+
+    def field(i: Int): Any =
       if (isNull(i)) null
       else schema(i) match {
         case BoolT      => buf.get(fixedBase + fixedOffsets(i)) != 0
@@ -173,11 +186,7 @@ final class RowCodec(val schema: IndexedSeq[FieldType],
           val start = if (slot == 0) 0 else strEnd(slot - 1)
           new String(bytes, dataBase + start, end - start, StandardCharsets.UTF_8)
       }
-    }
   }
-
-  /** Read a single field without decoding the whole row. */
-  def get(bytes: Array[Byte], i: Int): Any = decode(bytes)(i) // simple; hot paths decode once
 }
 
 /** The paper's accounting model for a Spark (UnsafeRow-style) row (§7.1

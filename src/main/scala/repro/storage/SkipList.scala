@@ -104,8 +104,9 @@ final class ConcurrentSkipIndex[K, V](implicit ord: Ordering[K]) {
   }
 }
 
-/** One stored tuple: timestamp plus an opaque payload (typically a
-  * `RowCodec`-encoded byte array, but tests also store decoded values).
+/** One stored tuple: timestamp plus an opaque payload. The online tables
+  * store slot-array rows (`OnlineTable`); the store itself does not look
+  * inside the payload.
   */
 final case class TsEntry[P](ts: Long, payload: P)
 

@@ -166,4 +166,33 @@ class RowCodecSpec extends AnyFunSuite {
       c.sizeOf(values) == c.encode(values).length
     })
   }
+
+  /** A mixed-schema row whose strings push the encoded size into the
+    * 1-, 2- or 4-byte offset-width range.
+    */
+  private val mixedRowGen: Gen[IndexedSeq[Any]] = for {
+    pad  <- Gen.oneOf(0, 300, 70000)
+    vals <- Gen.sequence[IndexedSeq[Any], Any](mixedSchema.map(valueGen))
+    long <- Gen.oneOf(true, false)
+  } yield if (pad == 0 || vals(2) == null) vals else vals.updated(if (long) 2 else 5, "z" * pad)
+
+  test("property: get reads one field equal to the decoded row's, for every field") {
+    val c = new RowCodec(mixedSchema)
+    val widths = scala.collection.mutable.Set.empty[Int]
+    check(Prop.forAll(mixedRowGen) { values =>
+      val b = c.encode(values)
+      widths += (if (b.length < 0x100) 1 else if (b.length < 0x10000) 2 else 4)
+      val decoded = c.decode(b)
+      mixedSchema.indices.forall(i => c.get(b, i) == decoded(i) && decoded(i) == values(i))
+    })
+    assert(widths == Set(1, 2, 4), s"offset widths covered: $widths")
+  }
+
+  test("get reads nulls and both string neighbours of a wide offset table") {
+    val c = new RowCodec(mixedSchema)
+    val row = IndexedSeq(null, 1.5, "q" * 70000, null, false, "tail", null, 3.toShort, null)
+    val b = c.encode(row)
+    assert(b.length > 0xffff)
+    assert(mixedSchema.indices.map(c.get(b, _)) == row)
+  }
 }

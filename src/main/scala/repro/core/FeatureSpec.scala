@@ -47,12 +47,28 @@ final case class LastJoinDef(
     valCols: Seq[String],
     prefix: String = "")
 
+/** @param primaryTs the primary table's timestamp column; may be left out
+  *                  when every window orders by the same column
+  */
 final case class FeatureSpec(
     primary: String,
     windows: Seq[WindowDef],
     features: Seq[Feature],
-    lastJoins: Seq[LastJoinDef] = Nil) {
+    lastJoins: Seq[LastJoinDef] = Nil,
+    primaryTs: Option[String] = None) {
   require(features.forall(f => windows.exists(_.name == f.window)),
     "every feature must reference a declared window")
+  require(features.map(_.name).distinct.size == features.size,
+    s"feature names must be distinct: ${features.groupBy(_.name).filter(_._2.size > 1).keys.mkString(", ")}")
+
+  /** The primary table's timestamp column: a LAST JOIN matches the latest
+    * right row at or before it.
+    */
+  val tsCol: String = primaryTs.getOrElse {
+    val ts = windows.map(_.tsCol).distinct
+    require(ts.size == 1, s"primaryTs is required: the windows order by ${ts.mkString("[", ", ", "]")}")
+    ts.head
+  }
+
   def window(name: String): WindowDef = windows.find(_.name == name).get
 }

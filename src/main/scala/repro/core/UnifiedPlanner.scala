@@ -1,16 +1,22 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.core.functions.Aggregators
-import repro.core.offline.{LastJoin, WindowUnion}
+import repro.core.offline.{LastJoin, WindowAggs, WindowUnion}
 
 /** Lowers a [[FeatureSpec]] to the offline Spark plan (§3.2 "Offline
   * Execution Mode"). The same spec drives
   * [[repro.core.online.RequestEngine]]; equality of the two outputs is the
   * reproduction of the paper's offline/online consistency property.
+  *
+  * Each window with features becomes one Exchange + Sort + `Window`
+  * operator ([[repro.core.offline.WindowAggs]]), whatever its feature
+  * count; a window's features read input columns only, not each other.
+  * The output is the primary table's columns, then the features window by
+  * window (spec order within a window), then the LAST JOIN columns. A
+  * feature named like an input column replaces it in place.
   */
 object UnifiedPlanner {
 
@@ -42,18 +48,15 @@ object UnifiedPlanner {
     val primary = tables(spec.primary)
 
     val withWindows = spec.windows.foldLeft(primary) { case (df, w) =>
-      val feats = spec.features.filter(_.window == w.name)
-      if (feats.isEmpty) df
-      else if (w.unionTables.isEmpty) {
-        val ws = Window.partitionBy(w.keyCol).orderBy(col(w.tsCol).cast("long"))
-          .rangeBetween(-w.rangeMs, 0)
-        feats.foldLeft(df) { case (d, f) => d.withColumn(f.name, fnColumn(f.fn).over(ws)) }
-      } else {
+      val aggs = spec.features.filter(_.window == w.name).map(f => f.name -> fnColumn(f.fn))
+      if (aggs.isEmpty) df
+      else if (w.unionTables.isEmpty) WindowAggs.attach(df, WindowAggs.range(w.rangeMs, w.tsCol, col(w.keyCol)), aggs)
+      else {
         // WINDOW UNION: secondary rows feed the frames, primary rows are
         // the outputs. Already-computed feature columns ride along on the
         // primary side (they are not aggregate inputs).
         WindowUnion(df, w.unionTables.map(tables), w.keyCol, w.tsCol, w.rangeMs,
-          feats.map(f => WindowUnion.UnionAgg(f.name, fnColumn(f.fn))))
+          aggs.map { case (n, a) => WindowUnion.UnionAgg(n, a) })
       }
     }
 
@@ -61,8 +64,7 @@ object UnifiedPlanner {
       val right = tables(lj.table)
         .select((Seq(col(lj.keyCol), col(lj.tsCol)) ++
           lj.valCols.map(v => col(v).as(s"${lj.prefix}$v"))): _*)
-      val w = spec.windows.head
-      LastJoin(df, right, Seq(lj.keyCol), w.tsCol, lj.tsCol,
+      LastJoin(df, right, Seq(lj.keyCol), spec.tsCol, lj.tsCol,
         lj.valCols.map(v => s"${lj.prefix}$v"))
     }
   }

@@ -1,7 +1,6 @@
 package repro.core.offline
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Time-aware data-skew resolving (§6.2).
@@ -33,11 +32,12 @@ object SkewResolver {
 
   final case class SkewAgg(name: String, agg: Column)
 
+  private def pairs(aggs: Seq[SkewAgg]): Seq[(String, Column)] = aggs.map(a => a.name -> a.agg)
+
   /** The naive baseline: one Spark partition per key. */
   def naive(df: DataFrame, keyCol: String, tsCol: String, windowMs: Long,
             aggs: Seq[SkewAgg]): DataFrame = {
-    val w = Window.partitionBy(keyCol).orderBy(col(tsCol).cast("long")).rangeBetween(-windowMs, 0)
-    aggs.foldLeft(df) { case (d, a) => d.withColumn(a.name, a.agg.over(w)) }
+    WindowAggs.attach(df, WindowAggs.range(windowMs, tsCol, col(keyCol)), pairs(aggs))
   }
 
   /** The time-aware repartitioned plan.
@@ -74,11 +74,8 @@ object SkewResolver {
     val augmented = (tagged +: expanded).reduce(_.unionByName(_))
 
     // (4)+(5) Redistribute by (key, PART_ID) and compute; drop context rows.
-    val w = Window.partitionBy(col(keyCol), col("__part_id"))
-      .orderBy(ts).rangeBetween(-windowMs, 0)
-    val computed = aggs.foldLeft(
-      augmented.repartition(col(keyCol), col("__part_id"))
-    ) { case (d, a) => d.withColumn(a.name, a.agg.over(w)) }
+    val w = WindowAggs.range(windowMs, tsCol, col(keyCol), col("__part_id"))
+    val computed = WindowAggs.attach(augmented.repartition(col(keyCol), col("__part_id")), w, pairs(aggs))
     computed.filter(!col("__expanded")).drop("__part_id", "__expanded")
   }
 }

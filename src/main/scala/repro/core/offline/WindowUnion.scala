@@ -1,7 +1,6 @@
 package repro.core.offline
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** WINDOW UNION (Table 1, §5.2): aggregate over a time window whose
@@ -11,8 +10,10 @@ import org.apache.spark.sql.functions._
   *
   * Offline plan shape: project every table to the shared (key, ts,
   * value-columns) schema with an `__is_primary` tag, `unionByName`,
-  * compute the window aggregates over the union, then keep only primary
-  * rows (secondary rows feed frames but produce no output).
+  * compute the window aggregates over the union in one projection (one
+  * Exchange + Sort + `Window`, see [[WindowAggs]]; the aggregates read the
+  * unioned input columns, not each other), then keep only primary rows
+  * (secondary rows feed frames but produce no output).
   */
 object WindowUnion {
 
@@ -44,9 +45,8 @@ object WindowUnion {
         s.select(cols: _*).withColumn("__is_primary", lit(0))
       }
     val unioned = tagged.reduce(_.unionByName(_))
-    val w = Window.partitionBy(keyCol).orderBy(col(tsCol).cast("long"))
-      .rangeBetween(-rangeMs, 0)
-    val withAggs = aggs.foldLeft(unioned) { case (df, a) => df.withColumn(a.name, a.agg.over(w)) }
+    val withAggs = WindowAggs.attach(unioned, WindowAggs.range(rangeMs, tsCol, col(keyCol)),
+      aggs.map(a => a.name -> a.agg))
     withAggs.filter(col("__is_primary") === 1).drop("__is_primary")
   }
 }

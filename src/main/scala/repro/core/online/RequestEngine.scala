@@ -225,7 +225,7 @@ final class RequestEngine(
     while (i < values.length) { out += outNames(i) -> values(i); i += 1 }
     spec.lastJoins.foreach { lj =>
       val key = String.valueOf(req(lj.keyCol))
-      val ts  = num(req(primary.tsCol)).toLong
+      val ts  = num(req(spec.tsCol)).toLong
       val hit = tables(lj.table).latest(key, ts).map(_._2)
       lj.valCols.foreach { v =>
         out += s"${lj.prefix}$v" -> hit.map(_.getOrElse(v, null)).orNull

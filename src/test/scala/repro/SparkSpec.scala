@@ -1,6 +1,7 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.{Window => WindowOp}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -16,6 +17,10 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Logical `Window` operators in the optimized plan of `df`. */
+  def windowOps(df: DataFrame): Int =
+    df.queryExecution.optimizedPlan.collect { case w: WindowOp => w }.size
 }
 
 object SparkSpec {

@@ -95,4 +95,9 @@ class MultiWindowParallelSpec extends SparkSpec {
     val plan = out.queryExecution.optimizedPlan.toString()
     assert(!plan.contains("w1_sum"))
   }
+
+  test("both plans run one Window operator per window spec") {
+    assert(windowOps(sequential(people, featureSets)) == featureSets.size)
+    assert(windowOps(parallel(people, featureSets)) == featureSets.size)
+  }
 }

@@ -94,4 +94,10 @@ class SkewResolverSpec extends SparkSpec {
     val o = SkewResolver.optimized(dup, "k", "ts", 15L, aggs, 2).select("k", "ts", "w_sum", "w_cnt")
     assert(canon(o) == canon(n))
   }
+
+  test("each plan evaluates all aggregates in one Window operator") {
+    val three = aggs :+ SkewAgg("w_max", max(col("v")))
+    assert(windowOps(SkewResolver.naive(skewed, "k", "ts", 5000L, three)) == 1)
+    assert(windowOps(SkewResolver.optimized(skewed, "k", "ts", 5000L, three, 4)) == 1)
+  }
 }

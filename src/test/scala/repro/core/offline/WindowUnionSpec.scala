@@ -108,4 +108,13 @@ class WindowUnionSpec extends SparkSpec {
       Seq(UnionAgg("s", sum(col("price"))))).collect()
     assert(out.head.getAs[Double]("s") == 3.0)
   }
+
+  test("all aggregates of the union window share one Window operator") {
+    Aggregators.register(spark)
+    val out = WindowUnion(actions, Seq(orders), "userid", "ts", 3000L,
+      Seq(UnionAgg("c", count(lit(1))), UnionAgg("s", sum(col("price"))),
+        UnionAgg("mx", max(col("price"))), UnionAgg("top", expr("topn_frequency(category, 1)"))))
+    assert(windowOps(out) == 1)
+    assert(out.columns.toSeq == actions.columns.toSeq ++ Seq("c", "s", "mx", "top"))
+  }
 }
